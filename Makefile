@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-quick binaries verify clean
+.PHONY: all build vet lint test perfbench race bench bench-quick binaries verify clean
 
 all: verify
 
@@ -24,6 +24,11 @@ lint: vet
 test:
 	$(GO) test ./...
 
+## perfbench: vet + test the benchmark harness, a separate module that
+## `go build ./...` does not reach
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 ## race: race detector over the concurrent surface (analyzer fan-out, RPC,
 ## host-agent query executors, sharded record store, event engine, cluster
 ## service plane, switch agents, the packet simulator, and the root-package
@@ -33,19 +38,17 @@ race:
 
 ## bench: run the paper-figure benchmark suite with -benchmem, refresh the
 ## machine-readable perf-trajectory artifact (BENCH_PR5.json; its baseline
-## froze the PR 4 numbers) — including the diagnosis-throughput, bursty
-## calendar, and snapshot-bootstrap sweeps — and print the before/after
-## delta
+## froze the PR 4 numbers) — including the diagnosis-throughput and
+## snapshot-bootstrap sweeps — and print the before/after delta
 bench:
 	scripts/bench.sh
 
-## bench-quick: the inner perf loop — Fig 8 + simulator event rate (incl.
-## the scheduler ablation) + the bursty calendar sweep + the state-sync
-## snapshot bootstrap + the indexed cold query + the pointer-backend
-## ablation + the metrics scrape and deterministic alert storm, one
-## iteration, no artifact refresh
+## bench-quick: the inner perf loop — Fig 8 + simulator event rate + the
+## state-sync snapshot bootstrap + the indexed cold query + the
+## pointer-backend ablation + the metrics scrape and deterministic alert
+## storm, one iteration, no artifact refresh
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Fig8LoadImbalance|SimulatorEventRate|AblationEventQueue|CalendarBursty|SnapshotBootstrap|ColdQueryIndexed|PointerBackends|MetricsScrape|AlertStorm|TraceOverhead' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Fig8LoadImbalance|SimulatorEventRate|SnapshotBootstrap|ColdQueryIndexed|PointerBackends|MetricsScrape|AlertStorm|TraceOverhead' -benchmem -benchtime 1x .
 
 ## binaries: every cmd/ tool and examples/ program must compile
 binaries:
@@ -57,8 +60,8 @@ binaries:
 	done
 
 ## verify: the tier-1 gate — build, lint (gofmt + vet + splint), test,
-## race, and binary compile checks
-verify: build lint test race binaries
+## perfbench, race, and binary compile checks
+verify: build lint test perfbench race binaries
 
 clean:
 	rm -rf bin

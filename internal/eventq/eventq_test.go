@@ -1,6 +1,8 @@
 package eventq
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"switchpointer/internal/simtime"
@@ -233,5 +235,30 @@ func TestStopWeakAndStrongAccounting(t *testing.T) {
 	e.Run() // must not hang or panic on accounting
 	if e.Now() != 5 {
 		t.Fatalf("Now = %v", e.Now())
+	}
+}
+
+// BenchmarkQueuePopNearMonotonic is the scheduling queue's layer
+// benchmark: a packet-arrival-like schedule (pop one, push one a small
+// forward gap later) over a standing population of pending events.
+func BenchmarkQueuePopNearMonotonic(b *testing.B) {
+	for _, standing := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("standing=%d", standing), func(b *testing.B) {
+			var q heapQueue
+			r := rand.New(rand.NewSource(42))
+			var now simtime.Time
+			var seq uint64
+			for i := 0; i < standing; i++ {
+				q.push(entry{at: now + simtime.Time(r.Intn(10000)), seq: seq})
+				seq++
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := q.pop()
+				now = e.at
+				q.push(entry{at: now + simtime.Time(r.Intn(2000)), seq: seq})
+				seq++
+			}
+		})
 	}
 }

@@ -5,10 +5,6 @@ package eventq
 // price of up to three extra comparisons per level — a good trade when the
 // comparison keys live inline in the pointer-free entries, as the four
 // children share cache lines.
-//
-// It was the engine's only queue before the calendar queue landed; it is
-// kept behind the WithHeapQueue option as the O(log n)-pop reference for
-// correctness tests and for the `make bench` scheduler ablation.
 type heapQueue struct {
 	h []entry
 }

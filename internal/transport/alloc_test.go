@@ -3,6 +3,7 @@ package transport
 import (
 	"testing"
 
+	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
 )
 
@@ -40,5 +41,29 @@ func TestMeterGrowthPreservesSeries(t *testing.T) {
 	}
 	if m.TotalBytes() != 300*1500 {
 		t.Fatalf("total = %d", m.TotalBytes())
+	}
+}
+
+// TestTCPRTORearmZeroAlloc gates the retransmission-timer re-arm that every
+// new ACK performs: with the event engine warm, armRTO allocates nothing
+// (no per-call method-value closure for the timer body).
+func TestTCPRTORearmZeroAlloc(t *testing.T) {
+	net, tp := buildDumbbell(t, netsim.QueueFIFO)
+	src, _ := tp.HostByName("L1")
+	dst, _ := tp.HostByName("R1")
+	s, _ := StartTCP(net, src, dst, TCPConfig{Start: simtime.Second})
+	// A re-arm leaves the stopped timer queued until its deadline, so warm
+	// the engine's arena and queue for more re-arms than are measured, then
+	// reap them: the one live timer fires with nothing in flight.
+	for i := 0; i < 2048; i++ {
+		s.armRTO(0)
+	}
+	net.RunUntil(s.rto)
+	allocs := testing.AllocsPerRun(1000, func() { s.armRTO(net.Now()) })
+	if allocs != 0 {
+		t.Fatalf("TCPSender.armRTO: %v allocs/op, want 0", allocs)
+	}
+	if s.Timeouts != 0 || s.SentSegments != 0 {
+		t.Fatalf("warm-up sent %d segments, %d timeouts; want none", s.SentSegments, s.Timeouts)
 	}
 }

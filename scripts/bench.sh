@@ -106,8 +106,7 @@ print(f"bench: wrote {out} ({len(current)} benchmarks)")
 # name, so new metrics added to those benchmarks stay exempt while new
 # virtual-time benchmarks are gated automatically.
 WALL_CLOCK_BENCHES = ("BenchmarkFig9DatapathThroughput", "BenchmarkFig9PerPacket",
-                      "BenchmarkAblationPacketMix", "BenchmarkDiagnosisThroughput",
-                      "BenchmarkCalendarBursty")
+                      "BenchmarkAblationPacketMix", "BenchmarkDiagnosisThroughput")
 rows = []
 drift = []
 for name in sorted(current):

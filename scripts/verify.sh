@@ -20,6 +20,12 @@ go run ./cmd/splint ./...
 
 go test ./...
 
+# The benchmark harness is its own module (perfbench/go.mod replaces
+# switchpointer with this checkout), so `go build ./...` above never
+# compiles it: vet and test it separately so an API change that breaks the
+# benchmark fails the gate.
+(cd perfbench && go vet ./... && go test ./...)
+
 # Race detector over the concurrent surface (analyzer fan-out, RPC fan-out +
 # HTTP client, host-agent query executors, the sharded record store under
 # concurrent query+absorption, the event engine, the cluster service plane —
