@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test perfbench race bench bench-quick binaries verify clean
+.PHONY: all build vet lint test perfbench race fuzz fuzz-quick bench bench-quick binaries verify clean
 
 all: verify
 
@@ -36,6 +36,20 @@ perfbench:
 race:
 	$(GO) test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace .
 
+## fuzz: run every native fuzz target (package:target pairs below) for
+## FUZZTIME each; a crasher lands in the package's testdata/fuzz corpus
+FUZZTIME ?= 30s
+FUZZ_TARGETS = ./internal/rpc:FuzzHostRounds ./internal/trace:FuzzParseRemote
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) "$${t%%:*}"; \
+	done
+
+## fuzz-quick: the short fuzz leg of verify, 5 s per target
+fuzz-quick:
+	$(MAKE) fuzz FUZZTIME=5s
+
 ## bench: run the paper-figure benchmark suite with -benchmem, refresh the
 ## machine-readable perf-trajectory artifact (BENCH_PR5.json; its baseline
 ## froze the PR 4 numbers) — including the diagnosis-throughput and
@@ -60,8 +74,8 @@ binaries:
 	done
 
 ## verify: the tier-1 gate — build, lint (gofmt + vet + splint), test,
-## perfbench, race, and binary compile checks
-verify: build lint test perfbench race binaries
+## perfbench, race, a short fuzz leg, and binary compile checks
+verify: build lint test perfbench race fuzz-quick binaries
 
 clean:
 	rm -rf bin

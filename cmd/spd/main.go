@@ -13,9 +13,10 @@
 //	             -hosts http://127.0.0.1:7641 -switches http://127.0.0.1:7642
 //	spd wait     -url http://127.0.0.1:7643/healthz -timeout 30s
 //
-// The host daemon serves every host agent under /hosts/<ip>/ (the
-// rpc.NewHostHandler routes below it) and the switch daemon every switch
-// agent under /switches/<id>/. The analyzer daemon reaches both only over
+// The host daemon answers query rounds for all its host agents at once at
+// /rounds/{headers,topk,flowsizes} (rpc.NewHostRoundHandler) and serves
+// each agent's single-host probes under /hosts/<ip>/ (rpc.NewHostHandler);
+// the switch daemon serves every switch agent under /switches/<id>/. The analyzer daemon reaches both only over
 // HTTP (analyzer.RemoteDirectory + analyzer.RemoteHosts) and exposes the
 // service plane: POST /diagnose (a cluster.QueryEnvelope, answered with the
 // wire-form report), GET /stats (admission counters), GET /healthz.
@@ -285,7 +286,7 @@ func serveCmd(role string, args []string) error {
 		reg.Uptime("spd_process_uptime_seconds", "Seconds since the daemon process started.")
 		registerBuildInfo(reg)
 		handler = cluster.HostMuxWith(s.Testbed, rd, reg, fr)
-		fmt.Fprintf(os.Stderr, "spd host: serving %d host agents under /hosts/<ip>/\n", len(s.Testbed.HostAgents))
+		fmt.Fprintf(os.Stderr, "spd host: serving %d host agents (rounds under /rounds/, probes under /hosts/<ip>/)\n", len(s.Testbed.HostAgents))
 	case "switch":
 		reg := cluster.SwitchRegistry(s.Testbed, rd)
 		reg.Uptime("spd_process_uptime_seconds", "Seconds since the daemon process started.")
@@ -297,7 +298,7 @@ func serveCmd(role string, args []string) error {
 			return errors.New("analyzer role needs -hosts and -switches URLs")
 		}
 		a, err := cluster.NewRemoteAnalyzer(s.Testbed,
-			cluster.HostURLs(*hostsURL, s.Testbed),
+			cluster.HostRoots(*hostsURL, s.Testbed),
 			cluster.SwitchURLs(*switchesURL, s.Testbed), nil)
 		if err != nil {
 			return err
@@ -419,7 +420,7 @@ func serve(addr string, handler http.Handler, role string) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := cluster.NewHTTPServer(handler)
 	errc := make(chan error, 1)
 	fmt.Fprintf(os.Stderr, "spd %s: listening on %s\n", role, ln.Addr())
 	go func() {

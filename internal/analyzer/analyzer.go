@@ -41,7 +41,8 @@ type Analyzer struct {
 	// in-process Hosts map — the host-side twin of the Directory seam. Nil
 	// selects MemoryHosts over Hosts (the default, byte-identical to the
 	// pre-seam direct agent calls); RemoteHosts runs the same rounds over
-	// the JSON/HTTP binding so a whole diagnosis travels the wire.
+	// the JSON/HTTP binding, one request per host daemon per round, so a
+	// whole diagnosis travels the wire.
 	HostBack HostBackend
 
 	// DisablePruning turns off the §4.3 search-radius reduction (ablation).

@@ -15,8 +15,9 @@ import (
 // what the Directory interface does for switch pointer state. The in-memory
 // implementation (MemoryHosts, the default) reaches hostagent.Agent
 // executors directly; the HTTP implementation (RemoteHosts) reaches the
-// same executors over their JSON/HTTP binding (rpc.NewHostHandler), so a
-// whole diagnosis can run over the wire.
+// same executors over their JSON/HTTP binding — one request per host
+// daemon per round (rpc.NewHostRoundHandler), one per probe
+// (rpc.NewHostHandler) — so a whole diagnosis can run over the wire.
 //
 // # Round contract
 //
@@ -32,8 +33,11 @@ import (
 //     scheduling; workers ≤ 0 selects rpc.DefaultFanOutWorkers.
 //   - err is the ctx error observed at the checkpoint that stopped early,
 //     nil on a full round. A host the backend cannot reach (absent agent,
-//     dead server) yields a zero answer, not an error — one dead host never
+//     dead daemon) yields a zero answer, not an error — one dead host never
 //     aborts a round.
+//   - The checkpoints are one ctx.Err call per host, in host order, however
+//     the backend batches its transport, so a cancelled round charges the
+//     same prefix on every backend.
 //
 // Implementations must support any number of concurrent rounds (the
 // admission controller overlaps whole diagnoses).

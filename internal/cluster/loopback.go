@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"time"
 
 	"switchpointer/internal/analyzer"
 	"switchpointer/internal/metrics"
@@ -15,28 +16,32 @@ import (
 	"switchpointer/internal/trace"
 )
 
-// HostMux serves every host agent of a testbed on one handler, multiplexed
-// by IP: agent for host ip lives under /hosts/<ip>/ — the rpc.NewHostHandler
-// query routes plus the state-sync plane (GET /hosts/<ip>/snapshot, POST
-// /hosts/<ip>/ingest). /healthz answers the statesync.Health document
-// (state + resident-record/evicted-segment accounting) against rd; a nil rd
-// reports permanently live — the non-bootstrap daemon. This is what `spd
-// host` serves; HostURLs derives the matching per-host base URLs. The
-// daemon's self-observability rides along: GET /metrics (Prometheus text
-// over a HostRegistry) and GET /stats (the HostStatsDoc JSON).
+// HostMux serves every host agent of a testbed on one handler. The query
+// rounds are daemon-level: POST /rounds/{headers,topk,flowsizes}
+// (rpc.NewHostRoundHandler) asks any set of the served hosts in one
+// request. Single-host routes are multiplexed by IP under /hosts/<ip>/ —
+// the rpc.NewHostHandler probes (/priority, /record) plus the state-sync
+// plane (GET /hosts/<ip>/snapshot, POST /hosts/<ip>/ingest). /healthz
+// answers the statesync.Health document (state + resident-record/
+// evicted-segment accounting) against rd; a nil rd reports permanently
+// live — the non-bootstrap daemon. This is what `spd host` serves;
+// HostRoots maps its hosts to its root URL. The daemon's
+// self-observability rides along: GET /metrics (Prometheus text over a
+// HostRegistry) and GET /stats (the HostStatsDoc JSON).
 func HostMux(tb *scenario.Testbed, rd *statesync.Readiness) http.Handler {
 	return HostMuxWith(tb, rd, HostRegistry(tb, rd), trace.NewFlightRecorder("host", 0))
 }
 
 // HostMuxWith is HostMux with a caller-supplied metric registry — the spd
 // daemon passes one so it can add process-level families (uptime) before
-// mounting — and flight recorder. Each host agent's query handler records
-// child spans for traced requests into fr, served back at GET /traces; a nil
-// fr disables both.
+// mounting — and flight recorder. The round and per-host handlers record
+// one child span per host for traced requests into fr, served back at GET
+// /traces; a nil fr disables both.
 func HostMuxWith(tb *scenario.Testbed, rd *statesync.Readiness, reg *metrics.Registry, fr *trace.FlightRecorder) http.Handler {
 	mux := http.NewServeMux()
+	mux.Handle(rpc.RoundsPath, rpc.NewHostRoundHandler(tb.HostAgents, fr))
 	for ip, ag := range tb.HostAgents {
-		prefix := "/hosts/" + ip.String()
+		prefix := rpc.HostPath(ip)
 		mux.Handle(prefix+"/", http.StripPrefix(prefix, rpc.NewTracedHostHandler(ag, ip.String(), fr)))
 		mux.Handle(prefix+"/snapshot", statesync.HostSnapshotHandler(ag))
 		mux.Handle(prefix+"/ingest", statesync.IngestHandler(ag, rd))
@@ -102,13 +107,14 @@ func SwitchMuxWith(tb *scenario.Testbed, rd *statesync.Readiness, reg *metrics.R
 	return mux
 }
 
-// HostURLs maps every host IP to its base URL under a HostMux server root.
-func HostURLs(base string, tb *scenario.Testbed) map[netsim.IPv4]string {
-	urls := make(map[netsim.IPv4]string, len(tb.HostAgents))
+// HostRoots maps every host IP of tb to root, the URL of the HostMux
+// daemon serving them all — the input analyzer.NewRemoteHosts takes.
+func HostRoots(root string, tb *scenario.Testbed) map[netsim.IPv4]string {
+	roots := make(map[netsim.IPv4]string, len(tb.HostAgents))
 	for ip := range tb.HostAgents {
-		urls[ip] = base + "/hosts/" + ip.String()
+		roots[ip] = root
 	}
-	return urls
+	return roots
 }
 
 // SwitchURLs maps every switch ID to its base URL under a SwitchMux server
@@ -124,7 +130,8 @@ func SwitchURLs(base string, tb *scenario.Testbed) map[netsim.NodeID]string {
 // NewRemoteAnalyzer assembles an analyzer whose every backend speaks HTTP:
 // pointer pulls and MPH distribution through analyzer.RemoteDirectory
 // against the switch URLs, all per-host query rounds through
-// analyzer.RemoteHosts against the host URLs. One pooled client is shared
+// analyzer.RemoteHosts against the host daemons (hostRoots maps each host
+// to its daemon's root URL). One pooled client is shared
 // by both planes so keep-alive connections span a whole diagnosis. The
 // topology and cost model come from the (locally rebuilt) testbed — the
 // deployment knowledge an analyzer node carries.
@@ -132,7 +139,7 @@ func SwitchURLs(base string, tb *scenario.Testbed) map[netsim.NodeID]string {
 // The host-IP index order is tb.Topo.Hosts() order, matching the MPH the
 // testbed distributed to its switches, so remotely decoded pointer bitmaps
 // agree with in-memory decoding bit for bit.
-func NewRemoteAnalyzer(tb *scenario.Testbed, hostURLs map[netsim.IPv4]string, switchURLs map[netsim.NodeID]string, client *rpc.HTTPClient) (*analyzer.Analyzer, error) {
+func NewRemoteAnalyzer(tb *scenario.Testbed, hostRoots map[netsim.IPv4]string, switchURLs map[netsim.NodeID]string, client *rpc.HTTPClient) (*analyzer.Analyzer, error) {
 	if client == nil {
 		client = rpc.NewPooledHTTPClient()
 	}
@@ -146,7 +153,7 @@ func NewRemoteAnalyzer(tb *scenario.Testbed, hostURLs map[netsim.IPv4]string, sw
 		return nil, err
 	}
 	a := analyzer.New(tb.Topo, dir, nil, tb.Opt.Cost)
-	a.HostBack = analyzer.NewRemoteHosts(hostURLs, client)
+	a.HostBack = analyzer.NewRemoteHosts(hostRoots, client)
 	return a, nil
 }
 
@@ -158,8 +165,9 @@ func NewRemoteAnalyzer(tb *scenario.Testbed, hostURLs map[netsim.IPv4]string, sw
 type Loopback struct {
 	// HostURL/SwitchURL/AnalyzerURL are the three servers' roots.
 	HostURL, SwitchURL, AnalyzerURL string
-	// HostURLs/SwitchURLs map agents to their per-agent base URLs.
-	HostURLs   map[netsim.IPv4]string
+	// HostRoots maps every host to HostURL; SwitchURLs maps every switch
+	// to its per-agent base URL.
+	HostRoots  map[netsim.IPv4]string
 	SwitchURLs map[netsim.NodeID]string
 
 	// Analyzer is the remote-backend analyzer the service executes.
@@ -203,11 +211,11 @@ func NewLoopback(tb *scenario.Testbed, cfg AdmissionConfig) (*Loopback, error) {
 		return nil, err
 	}
 	lb.HostURL, lb.SwitchURL = hostURL, switchURL
-	lb.HostURLs = HostURLs(hostURL, tb)
+	lb.HostRoots = HostRoots(hostURL, tb)
 	lb.SwitchURLs = SwitchURLs(switchURL, tb)
 	lb.AnalyzerFlight.SetPeers(map[string]string{"hosts": hostURL, "switches": switchURL})
 
-	lb.Analyzer, err = NewRemoteAnalyzer(tb, lb.HostURLs, lb.SwitchURLs, lb.httpClient)
+	lb.Analyzer, err = NewRemoteAnalyzer(tb, lb.HostRoots, lb.SwitchURLs, lb.httpClient)
 	if err != nil {
 		lb.Close()
 		return nil, err
@@ -223,6 +231,19 @@ func NewLoopback(tb *scenario.Testbed, cfg AdmissionConfig) (*Loopback, error) {
 	return lb, nil
 }
 
+// NewHTTPServer is the http.Server every daemon role runs h on. It bounds
+// how long a client may take to send request headers, and closes idle
+// keep-alive connections only after IdleTimeout, which outlasts the pooled
+// analyzer client's 90 s IdleConnTimeout so the client, not the server,
+// retires an idle connection and reuse is never cut short.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+}
+
 // serve starts one HTTP server on a fresh 127.0.0.1 listener and returns
 // its root URL.
 func (lb *Loopback) serve(h http.Handler) (string, error) {
@@ -230,7 +251,7 @@ func (lb *Loopback) serve(h http.Handler) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("cluster: loopback listen: %w", err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := NewHTTPServer(h)
 	lb.servers = append(lb.servers, srv)
 	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return "http://" + ln.Addr().String(), nil

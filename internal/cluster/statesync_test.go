@@ -85,7 +85,7 @@ func TestBootstrapEquivalenceAllKinds(t *testing.T) {
 			dstSwitchSrv := httptest.NewServer(SwitchMux(dst.Testbed, nil))
 			defer dstSwitchSrv.Close()
 			a, err := NewRemoteAnalyzer(dst.Testbed,
-				HostURLs(dstHostSrv.URL, dst.Testbed),
+				HostRoots(dstHostSrv.URL, dst.Testbed),
 				SwitchURLs(dstSwitchSrv.URL, dst.Testbed), nil)
 			if err != nil {
 				t.Fatal(err)

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"switchpointer/internal/hostagent"
+	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
 )
 
@@ -149,12 +151,13 @@ func TestHostsQueriedParallelAccounting(t *testing.T) {
 	}
 }
 
-// TestQueryHostsConcurrent drives the pooled HTTP client's fan-out path
-// against live test servers: every host answers, per-host failures stay
-// per-host, and results come back in URL order.
-func TestQueryHostsConcurrent(t *testing.T) {
+// TestHostRoundsConcurrent drives the pooled HTTP client's round path
+// against live test daemons, one round per daemon sent concurrently over
+// the FanOut pool: every daemon's hosts answer, a failing daemon fails only
+// its own round, and each round's answers come back in host order.
+func TestHostRoundsConcurrent(t *testing.T) {
 	const n = 8
-	urls := make([]string, n)
+	roots := make([]string, n)
 	for i := 0; i < n; i++ {
 		i := i
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -162,44 +165,52 @@ func TestQueryHostsConcurrent(t *testing.T) {
 				http.Error(w, "down", http.StatusInternalServerError)
 				return
 			}
-			fmt.Fprintf(w, "{\"host\":%d}", i)
+			var req RoundRequest
+			if !decodeJSON(w, r, &req) {
+				return
+			}
+			// Each host answers one flow whose byte count names its
+			// daemon and its IP.
+			resp := RoundResponse[[]hostagent.FlowBytes]{}
+			for _, ip := range req.Hosts {
+				resp.Answers = append(resp.Answers, []hostagent.FlowBytes{{Bytes: uint64(i)<<32 | uint64(ip)}})
+			}
+			writeJSON(w, resp)
 		}))
 		defer srv.Close()
-		urls[i] = srv.URL
+		roots[i] = srv.URL
 	}
 	client := NewPooledHTTPClient()
 	defer client.CloseIdleConnections()
 
-	type answer struct{ Host int }
-	results, err := QueryHosts(context.Background(), client, 4, urls,
-		func(ctx context.Context, c *HTTPClient, url string) (answer, error) {
-			var out answer
-			err := c.post(ctx, url, struct{}{}, &out)
-			return out, err
-		})
-	if err != nil {
-		t.Fatal(err)
+	hosts := []netsim.IPv4{netsim.IP(10, 0, 0, 3), netsim.IP(10, 0, 0, 1), netsim.IP(10, 0, 0, 2)}
+	answers := make([][][]hostagent.FlowBytes, n)
+	errs := make([]error, n)
+	dispatched, err := FanOut(context.Background(), 4, n, func(ctx context.Context, i int) {
+		answers[i], errs[i] = client.TopKRound(ctx, roots[i], hosts, 1, 1)
+	})
+	if err != nil || dispatched != n {
+		t.Fatalf("dispatched %d of %d: %v", dispatched, n, err)
 	}
-	if len(results) != n {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, r := range results {
-		if r.URL != urls[i] {
-			t.Fatalf("result %d out of order: %s", i, r.URL)
-		}
+	for i := range answers {
 		if i == 3 {
-			if r.Err == nil {
-				t.Fatal("down host should error")
+			if errs[i] == nil {
+				t.Fatal("down daemon should error")
 			}
 			continue
 		}
-		if r.Err != nil || r.Val.Host != i {
-			t.Fatalf("result %d = %+v err=%v", i, r.Val, r.Err)
+		if errs[i] != nil || len(answers[i]) != len(hosts) {
+			t.Fatalf("daemon %d: %d answers, err=%v", i, len(answers[i]), errs[i])
+		}
+		for j, ip := range hosts {
+			if got, want := answers[i][j][0].Bytes, uint64(i)<<32|uint64(ip); got != want {
+				t.Fatalf("daemon %d host %d answered %x, want %x (out of order)", i, j, got, want)
+			}
 		}
 	}
 }
 
-// TestPerHostTimeout asserts a dead host is bounded by PerHostTimeout
+// TestPerHostTimeout asserts a dead daemon is bounded by PerHostTimeout
 // rather than hanging the round.
 func TestPerHostTimeout(t *testing.T) {
 	stall := make(chan struct{})
@@ -212,8 +223,14 @@ func TestPerHostTimeout(t *testing.T) {
 	client := NewPooledHTTPClient()
 	client.PerHostTimeout = 50 * time.Millisecond
 	defer client.CloseIdleConnections()
-	_, _, err := client.PullPointers(context.Background(), srv.URL, simtime.EpochRange{})
-	if err == nil {
-		t.Fatal("stalled host should time out")
+	start := time.Now()
+	if _, err := client.TopKRound(context.Background(), srv.URL, []netsim.IPv4{netsim.IP(10, 0, 0, 1)}, 1, 1); err == nil {
+		t.Fatal("stalled daemon should time out")
+	}
+	if _, _, err := client.PullPointers(context.Background(), srv.URL, simtime.EpochRange{}); err == nil {
+		t.Fatal("stalled switch should time out")
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("two timed-out requests took %v", elapsed)
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -18,7 +20,6 @@ import (
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/switchagent"
-	"switchpointer/internal/topo"
 	"switchpointer/internal/trace"
 )
 
@@ -28,57 +29,23 @@ import (
 // simulated testbed is single-threaded); in deployments the agents would own
 // their state behind these handlers directly.
 
-// HeadersRequest asks a host for records matching (switch, epoch range).
-// Flows, when non-empty, restricts the answer to those flow keys and lets
-// the host's cold-tier manifest index skip segments that cannot contain
-// any of them.
-type HeadersRequest struct {
-	Switch  netsim.NodeID    `json:"switch"`
-	EpochLo simtime.Epoch    `json:"epoch_lo"`
-	EpochHi simtime.Epoch    `json:"epoch_hi"`
-	Flows   []netsim.FlowKey `json:"flows,omitempty"`
+// RoundRequest is one daemon-level query round (POST
+// /rounds/{headers,topk,flowsizes} on a host daemon): the hosts to ask, in
+// order, plus the round's arguments — Queries for headers, Switch and K for
+// topk, Switch for flowsizes. One request reaches every host the daemon
+// serves, so a round costs one HTTP round trip per daemon, not per host.
+type RoundRequest struct {
+	Hosts   []netsim.IPv4            `json:"hosts"`
+	Switch  netsim.NodeID            `json:"switch,omitempty"`
+	K       int                      `json:"k,omitempty"`
+	Queries []hostagent.HeadersQuery `json:"queries,omitempty"`
 }
 
-// HeadersResponse answers a HeadersRequest: the matching records plus the
-// host's cold read-back accounting (flushed segments decoded / records
-// scanned past the hot window — zero when the window was answered entirely
-// from the resident set). ColdSkippedByIndex counts epoch-overlapping
-// segments the manifest index excluded without decoding; TieredSegments
-// counts matching segments whose payloads were tiered out of cold storage
-// (data the answer honestly does not include).
-type HeadersResponse struct {
-	Records            []*flowrec.Record `json:"records"`
-	ColdSegments       int               `json:"cold_segments,omitempty"`
-	ColdRecords        int               `json:"cold_records,omitempty"`
-	ColdReturned       int               `json:"cold_returned,omitempty"`
-	ColdSkippedByIndex int               `json:"cold_skipped_by_index,omitempty"`
-	TieredSegments     int               `json:"tiered_segments,omitempty"`
-}
-
-// HeadersBatchRequest asks a host to answer several header queries in one
-// request — the per-round form: a contention alert carries one query per
-// alert tuple, and batching them means one HTTP round trip per host per
-// round and one cold-segment decode pass (hostagent.QueryHeadersMulti)
-// instead of one per tuple.
-type HeadersBatchRequest struct {
-	Queries []HeadersRequest `json:"queries"`
-}
-
-// HeadersBatchResponse answers a HeadersBatchRequest, one answer per query
-// in order.
-type HeadersBatchResponse struct {
-	Answers []HeadersResponse `json:"answers"`
-}
-
-// TopKRequest asks a host for its top-k flows through a switch.
-type TopKRequest struct {
-	Switch netsim.NodeID `json:"switch"`
-	K      int           `json:"k"`
-}
-
-// FlowSizesRequest asks a host for flow sizes and egress links at a switch.
-type FlowSizesRequest struct {
-	Switch netsim.NodeID `json:"switch"`
+// RoundResponse answers a RoundRequest: Answers[i] is Hosts[i]'s reply —
+// for headers one hostagent.HeadersAnswer per query in order — and null
+// for a host the daemon does not serve.
+type RoundResponse[T any] struct {
+	Answers []T `json:"answers"`
 }
 
 // PriorityRequest asks a host for a flow's recorded DSCP priority.
@@ -185,20 +152,13 @@ func (pr *PointersResponse) Decode() (*bitset.Set, error) {
 	return &s, nil
 }
 
-// recordChild emits a virtual-instant child span into the daemon's flight
-// recorder when the request carries trace context: the span sits at the
-// analyzer's virtual send time, parents under the phase ordinal the round
-// will charge, and derives its ID from (parent, role, label, endpoint) so
-// the same diagnosis yields the same tree on every execution path.
-func recordChild(fr *trace.FlightRecorder, role, label string, r *http.Request, name string, attrs ...trace.Attr) {
-	if fr == nil {
-		return
-	}
-	rc, ok := trace.ParseRemote(r.Header.Get(trace.Header))
-	if !ok {
-		return
-	}
-	fr.Record(rc.TraceID, trace.Span{
+// childSpan is the virtual-instant child span a traced request emits into
+// the daemon's flight recorder: the span sits at the analyzer's virtual send
+// time, parents under the phase ordinal the round will charge, and derives
+// its ID from (parent, role, label, endpoint) so the same diagnosis yields
+// the same tree on every execution path.
+func childSpan(rc trace.RemoteContext, role, label, name string, attrs ...trace.Attr) trace.Span {
+	return trace.Span{
 		ID:     rc.Parent + "." + role + ":" + label + ":" + name,
 		Parent: rc.Parent,
 		Name:   name,
@@ -206,85 +166,130 @@ func recordChild(fr *trace.FlightRecorder, role, label string, r *http.Request, 
 		Start:  rc.At,
 		End:    rc.At,
 		Attrs:  attrs,
-	})
+	}
 }
 
-func itoa(n int) string { return fmt.Sprintf("%d", n) }
+// remoteContext parses the request's trace context; ok is false when the
+// request is untraced or the daemon records no spans.
+func remoteContext(fr *trace.FlightRecorder, r *http.Request) (trace.RemoteContext, bool) {
+	if fr == nil {
+		return trace.RemoteContext{}, false
+	}
+	return trace.ParseRemote(r.Header.Get(trace.Header))
+}
 
-// NewHostHandler exposes a host agent's query executors over HTTP.
+// recordChild records one childSpan when the request carries trace context.
+func recordChild(fr *trace.FlightRecorder, role, label string, r *http.Request, name string, attrs ...trace.Attr) {
+	if rc, ok := remoteContext(fr, r); ok {
+		fr.Record(rc.TraceID, childSpan(rc, role, label, name, attrs...))
+	}
+}
+
+// RoundsPath prefixes a host daemon's round endpoints: RoundsPath+"headers",
+// +"topk" and +"flowsizes".
+const RoundsPath = "/rounds/"
+
+// HostPath is where a host daemon serves host ip's single-host routes
+// (NewTracedHostHandler's /priority and /record, and the state-sync plane).
+func HostPath(ip netsim.IPv4) string { return "/hosts/" + ip.String() }
+
+// roundKind is one round endpoint: ask answers one host from the decoded
+// request, span names the host's child span, and attrs derives that span's
+// attributes from the host's answer.
+type roundKind[T any] struct {
+	span  string
+	ask   func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) T
+	attrs func(T) []trace.Attr
+}
+
+// serve answers one round: every host the daemon serves, in request order,
+// and null for the rest. A traced request's context is parsed once and
+// yields one child span per answered host, labelled by the host's IP, so a
+// trace is the same however the analyzer batches hosts into requests.
+func (k roundKind[T]) serve(agents map[netsim.IPv4]*hostagent.Agent, fr *trace.FlightRecorder) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req RoundRequest
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		rc, traced := remoteContext(fr, r)
+		resp := RoundResponse[T]{Answers: make([]T, len(req.Hosts))}
+		var spans []trace.Span
+		for i, ip := range req.Hosts {
+			ag, ok := agents[ip]
+			if !ok {
+				continue
+			}
+			resp.Answers[i] = k.ask(r.Context(), ag, &req)
+			if traced {
+				spans = append(spans, childSpan(rc, "host", ip.String(), k.span, k.attrs(resp.Answers[i])...))
+			}
+		}
+		if traced {
+			fr.Record(rc.TraceID, spans...)
+		}
+		writeJSON(w, resp)
+	}
+}
+
+// flowsAttrs is the span attribute set of the topk and flowsizes rounds.
+func flowsAttrs[T any](flows []T) []trace.Attr {
+	return []trace.Attr{{Key: "flows", Value: strconv.Itoa(len(flows))}}
+}
+
+// NewHostRoundHandler serves a host daemon's round endpoints over the given
+// agents (keyed by host IP): POST RoundsPath+{headers,topk,flowsizes}, each
+// a RoundRequest answered with a RoundResponse. Traced requests record
+// per-host child spans into fr (nil disables them).
+func NewHostRoundHandler(agents map[netsim.IPv4]*hostagent.Agent, fr *trace.FlightRecorder) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc(RoundsPath+"headers", roundKind[[]hostagent.HeadersAnswer]{
+		span: "headers-batch",
+		ask: func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) []hostagent.HeadersAnswer {
+			return ag.QueryHeadersMulti(ctx, req.Queries)
+		},
+		attrs: func(answers []hostagent.HeadersAnswer) []trace.Attr {
+			records, coldSegments, coldReturned := 0, 0, 0
+			for _, ans := range answers {
+				records += len(ans.Records)
+				coldSegments += ans.ColdSegments
+				coldReturned += ans.ColdReturned
+			}
+			return []trace.Attr{
+				{Key: "records", Value: strconv.Itoa(records)},
+				{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
+				{Key: "cold_returned", Value: strconv.Itoa(coldReturned)},
+			}
+		},
+	}.serve(agents, fr))
+	mux.HandleFunc(RoundsPath+"topk", roundKind[[]hostagent.FlowBytes]{
+		span: "topk",
+		ask: func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) []hostagent.FlowBytes {
+			return ag.QueryTopK(ctx, req.Switch, req.K)
+		},
+		attrs: flowsAttrs[hostagent.FlowBytes],
+	}.serve(agents, fr))
+	mux.HandleFunc(RoundsPath+"flowsizes", roundKind[[]hostagent.FlowSize]{
+		span: "flowsizes",
+		ask: func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) []hostagent.FlowSize {
+			return ag.QueryFlowSizes(ctx, req.Switch)
+		},
+		attrs: flowsAttrs[hostagent.FlowSize],
+	}.serve(agents, fr))
+	return mux
+}
+
+// NewHostHandler exposes one host agent's single-host probes over HTTP.
 func NewHostHandler(a *hostagent.Agent) http.Handler {
 	return NewTracedHostHandler(a, "", nil)
 }
 
 // NewTracedHostHandler is NewHostHandler with a flight recorder: requests
-// carrying an X-SP-Trace header additionally emit child spans (records
-// returned, cold decode counts) under the daemon's label (its host IP).
+// carrying an X-SP-Trace header additionally emit a child span under the
+// daemon's label (its host IP). Query rounds are served daemon-wide by
+// NewHostRoundHandler.
 func NewTracedHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/headers", func(w http.ResponseWriter, r *http.Request) {
-		var req HeadersRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		ans := a.QueryHeaders(r.Context(), hostagent.HeadersQuery{
-			Switch: req.Switch,
-			Epochs: simtime.EpochRange{Lo: req.EpochLo, Hi: req.EpochHi},
-			Flows:  req.Flows,
-		})
-		recordChild(fr, "host", label, r, "headers",
-			trace.Attr{Key: "records", Value: itoa(len(ans.Records))},
-			trace.Attr{Key: "cold_segments", Value: itoa(ans.ColdSegments)},
-			trace.Attr{Key: "cold_returned", Value: itoa(ans.ColdReturned)})
-		writeJSON(w, headersToWire(ans))
-	})
-	mux.HandleFunc("/headers-batch", func(w http.ResponseWriter, r *http.Request) {
-		var req HeadersBatchRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		qs := make([]hostagent.HeadersQuery, len(req.Queries))
-		for i, q := range req.Queries {
-			qs[i] = hostagent.HeadersQuery{
-				Switch: q.Switch,
-				Epochs: simtime.EpochRange{Lo: q.EpochLo, Hi: q.EpochHi},
-				Flows:  q.Flows,
-			}
-		}
-		answers := a.QueryHeadersMulti(r.Context(), qs)
-		resp := HeadersBatchResponse{Answers: make([]HeadersResponse, len(answers))}
-		records, coldSegments, coldReturned := 0, 0, 0
-		for i, ans := range answers {
-			resp.Answers[i] = headersToWire(ans)
-			records += len(ans.Records)
-			coldSegments += ans.ColdSegments
-			coldReturned += ans.ColdReturned
-		}
-		recordChild(fr, "host", label, r, "headers-batch",
-			trace.Attr{Key: "records", Value: itoa(records)},
-			trace.Attr{Key: "cold_segments", Value: itoa(coldSegments)},
-			trace.Attr{Key: "cold_returned", Value: itoa(coldReturned)})
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/topk", func(w http.ResponseWriter, r *http.Request) {
-		var req TopKRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		flows := a.QueryTopK(r.Context(), req.Switch, req.K)
-		recordChild(fr, "host", label, r, "topk",
-			trace.Attr{Key: "flows", Value: itoa(len(flows))})
-		writeJSON(w, flows)
-	})
-	mux.HandleFunc("/flowsizes", func(w http.ResponseWriter, r *http.Request) {
-		var req FlowSizesRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		sizes := a.QueryFlowSizes(r.Context(), req.Switch)
-		recordChild(fr, "host", label, r, "flowsizes",
-			trace.Attr{Key: "flows", Value: itoa(len(sizes))})
-		writeJSON(w, sizes)
-	})
 	mux.HandleFunc("/priority", func(w http.ResponseWriter, r *http.Request) {
 		var req PriorityRequest
 		if !decodeJSON(w, r, &req) {
@@ -339,8 +344,8 @@ func NewTracedSwitchHandler(a *switchagent.Agent, label string, fr *trace.Flight
 			return
 		}
 		recordChild(fr, "switch", label, r, "pointers",
-			trace.Attr{Key: "level", Value: itoa(res.Info.Level)},
-			trace.Attr{Key: "slots", Value: itoa(res.Info.Slots)},
+			trace.Attr{Key: "level", Value: strconv.Itoa(res.Info.Level)},
+			trace.Attr{Key: "slots", Value: strconv.Itoa(res.Info.Slots)},
 			trace.Attr{Key: "covered", Value: fmt.Sprintf("%v", res.Info.Covered)},
 			trace.Attr{Key: "source", Value: res.Source},
 			trace.Attr{Key: "approx", Value: fmt.Sprintf("%v", !res.Exact)})
@@ -405,14 +410,22 @@ func NewTracedSwitchHandler(a *switchagent.Agent, label string, fr *trace.Flight
 	return mux
 }
 
+// maxRequestBody bounds a request body; a larger one is refused with 413.
+const maxRequestBody = 1 << 20
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
@@ -433,8 +446,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 //
 // Concurrency contract: an HTTPClient is goroutine-safe — all query methods
 // may be called concurrently (http.Client and http.Transport are themselves
-// concurrent-safe), which is what QueryHosts relies on to fan a round out
-// over many host agents at once. The flask deployment the paper measures
+// concurrent-safe), which is what analyzer.RemoteHosts relies on to send a
+// round to many host daemons at once. The flask deployment the paper measures
 // opens one connection per server per query (§6.2's sequential bottleneck);
 // NewPooledHTTPClient is the corresponding fix: a shared, keep-alive
 // http.Transport whose idle pool spans query rounds, so repeat rounds skip
@@ -451,10 +464,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 type HTTPClient struct {
 	HTTP *http.Client
 
-	// PerHostTimeout bounds each single host interaction (connection +
-	// request + response). Zero means no per-host bound; the round is then
-	// limited only by the caller's context. A slow or dead host therefore
-	// cannot stall a whole fan-out round beyond this bound.
+	// PerHostTimeout bounds each single request (connection + request +
+	// response): one daemon's share of a query round — every host that
+	// daemon serves — or one single-host probe or switch pull. Zero means
+	// no bound; the round is then limited only by the caller's context. A
+	// slow or dead daemon therefore cannot stall a whole round beyond it.
 	PerHostTimeout time.Duration
 }
 
@@ -576,71 +590,39 @@ func (c *HTTPClient) SwitchSnapshot(ctx context.Context, baseURL string) (Switch
 	return out, err
 }
 
-// headersToWire/headersFromWire map between the in-process HeadersAnswer
-// and its wire form, field for field.
-func headersToWire(ans hostagent.HeadersAnswer) HeadersResponse {
-	return HeadersResponse{
-		Records:            ans.Records,
-		ColdSegments:       ans.ColdSegments,
-		ColdRecords:        ans.ColdRecords,
-		ColdReturned:       ans.ColdReturned,
-		ColdSkippedByIndex: ans.ColdSkippedByIndex,
-		TieredSegments:     ans.TieredSegments,
-	}
-}
-
-func headersFromWire(resp HeadersResponse) hostagent.HeadersAnswer {
-	return hostagent.HeadersAnswer{
-		Records:            resp.Records,
-		ColdSegments:       resp.ColdSegments,
-		ColdRecords:        resp.ColdRecords,
-		ColdReturned:       resp.ColdReturned,
-		ColdSkippedByIndex: resp.ColdSkippedByIndex,
-		TieredSegments:     resp.TieredSegments,
-	}
-}
-
-// QueryHeaders fetches matching records (and the host's cold read-back
-// accounting) from a host agent at baseURL.
-func (c *HTTPClient) QueryHeaders(ctx context.Context, baseURL string, sw netsim.NodeID, epochs simtime.EpochRange) (hostagent.HeadersAnswer, error) {
-	var out HeadersResponse
-	err := c.post(ctx, baseURL+"/headers", HeadersRequest{Switch: sw, EpochLo: epochs.Lo, EpochHi: epochs.Hi}, &out)
-	return headersFromWire(out), err
-}
-
-// QueryHeadersBatch answers several header queries against one host in a
-// single request (POST /headers-batch), one answer per query in order.
-func (c *HTTPClient) QueryHeadersBatch(ctx context.Context, baseURL string, qs []hostagent.HeadersQuery) ([]hostagent.HeadersAnswer, error) {
-	req := HeadersBatchRequest{Queries: make([]HeadersRequest, len(qs))}
-	for i, q := range qs {
-		req.Queries[i] = HeadersRequest{Switch: q.Switch, EpochLo: q.Epochs.Lo, EpochHi: q.Epochs.Hi, Flows: q.Flows}
-	}
-	var out HeadersBatchResponse
-	if err := c.post(ctx, baseURL+"/headers-batch", req, &out); err != nil {
+// round POSTs one daemon-level round to the host daemon at root and checks
+// the daemon answered every host.
+func round[T any](ctx context.Context, c *HTTPClient, root, kind string, req RoundRequest) ([]T, error) {
+	var out RoundResponse[T]
+	if err := c.post(ctx, root+RoundsPath+kind, req, &out); err != nil {
 		return nil, err
 	}
-	if len(out.Answers) != len(qs) {
-		return nil, fmt.Errorf("rpc: headers batch answered %d of %d queries", len(out.Answers), len(qs))
+	if len(out.Answers) != len(req.Hosts) {
+		return nil, fmt.Errorf("rpc: %s round answered %d of %d hosts", kind, len(out.Answers), len(req.Hosts))
 	}
-	answers := make([]hostagent.HeadersAnswer, len(out.Answers))
-	for i, ans := range out.Answers {
-		answers[i] = headersFromWire(ans)
-	}
-	return answers, nil
+	return out.Answers, nil
 }
 
-// QueryTopK fetches a host's top-k flows through a switch.
-func (c *HTTPClient) QueryTopK(ctx context.Context, baseURL string, sw netsim.NodeID, k int) ([]hostagent.FlowBytes, error) {
-	var out []hostagent.FlowBytes
-	err := c.post(ctx, baseURL+"/topk", TopKRequest{Switch: sw, K: k}, &out)
-	return out, err
+// HeadersRound asks every host in hosts, all served by the daemon at root,
+// for the records matching each query (POST /rounds/headers): answers[i][q]
+// is hosts[i]'s answer to qs[q], and answers[i] is nil for a host the
+// daemon does not serve.
+func (c *HTTPClient) HeadersRound(ctx context.Context, root string, hosts []netsim.IPv4, qs []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, error) {
+	return round[[]hostagent.HeadersAnswer](ctx, c, root, "headers", RoundRequest{Hosts: hosts, Queries: qs})
 }
 
-// QueryFlowSizes fetches flow sizes + egress links at a switch from a host.
-func (c *HTTPClient) QueryFlowSizes(ctx context.Context, baseURL string, sw netsim.NodeID) ([]hostagent.FlowSize, error) {
-	var out []hostagent.FlowSize
-	err := c.post(ctx, baseURL+"/flowsizes", FlowSizesRequest{Switch: sw}, &out)
-	return out, err
+// TopKRound asks every host in hosts, all served by the daemon at root, for
+// its top-k flows through switch sw (POST /rounds/topk); answers[i] is nil
+// for a host the daemon does not serve.
+func (c *HTTPClient) TopKRound(ctx context.Context, root string, hosts []netsim.IPv4, sw netsim.NodeID, k int) ([][]hostagent.FlowBytes, error) {
+	return round[[]hostagent.FlowBytes](ctx, c, root, "topk", RoundRequest{Hosts: hosts, Switch: sw, K: k})
+}
+
+// FlowSizesRound asks every host in hosts, all served by the daemon at root,
+// for flow sizes + egress links at switch sw (POST /rounds/flowsizes);
+// answers[i] is nil for a host the daemon does not serve.
+func (c *HTTPClient) FlowSizesRound(ctx context.Context, root string, hosts []netsim.IPv4, sw netsim.NodeID) ([][]hostagent.FlowSize, error) {
+	return round[[]hostagent.FlowSize](ctx, c, root, "flowsizes", RoundRequest{Hosts: hosts, Switch: sw})
 }
 
 // QueryPriority fetches a flow's priority from a host.
@@ -676,29 +658,3 @@ func (c *HTTPClient) PullPointers(ctx context.Context, baseURL string, epochs si
 	bits, err := out.Decode()
 	return bits, out, err
 }
-
-// HostResult is one host's outcome in a concurrent query round.
-type HostResult[T any] struct {
-	URL string
-	Val T
-	Err error
-}
-
-// QueryHosts fans fn out over the given base URLs on the shared bounded
-// worker pool (FanOut), preserving the partial-result contract: results[i]
-// corresponds to urls[i], only the dispatched prefix is returned, and the
-// per-URL order never depends on worker scheduling. fn typically wraps one
-// of the Query* methods; per-host failures land in the result's Err so one
-// dead agent does not abort the round. On cancellation the dispatched
-// prefix and ctx's error are returned together.
-func QueryHosts[T any](ctx context.Context, c *HTTPClient, workers int, urls []string, fn func(ctx context.Context, c *HTTPClient, url string) (T, error)) ([]HostResult[T], error) {
-	results := make([]HostResult[T], len(urls))
-	dispatched, err := FanOut(ctx, workers, len(urls), func(ctx context.Context, i int) {
-		results[i].URL = urls[i]
-		results[i].Val, results[i].Err = fn(ctx, c, urls[i])
-	})
-	return results[:dispatched], err
-}
-
-// Ensure topo.LinkID marshals as a plain number in FlowSize responses.
-var _ = topo.LinkID(0)

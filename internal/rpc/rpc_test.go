@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/switchagent"
 	"switchpointer/internal/topo"
+	"switchpointer/internal/trace"
 	"switchpointer/internal/transport"
 )
 
@@ -151,9 +154,16 @@ func TestHTTPEndToEnd(t *testing.T) {
 		Flow: flow, Priority: 2, RateBps: 200_000_000, Start: 0, Duration: 25 * simtime.Millisecond})
 	net.RunUntil(40 * simtime.Millisecond)
 
-	// Serve the agents over HTTP (simulation now idle).
-	hostSrv := httptest.NewServer(NewHostHandler(hostAg))
+	// Serve the agents over HTTP (simulation now idle): the host daemon's
+	// round endpoints plus the agent's single-host probes, laid out as a
+	// host daemon serves them.
+	hostMux := http.NewServeMux()
+	hostMux.Handle(RoundsPath, NewHostRoundHandler(map[netsim.IPv4]*hostagent.Agent{dst.IP(): hostAg}, nil))
+	hostMux.Handle(HostPath(dst.IP())+"/", http.StripPrefix(HostPath(dst.IP()), NewHostHandler(hostAg)))
+	hostSrv := httptest.NewServer(hostMux)
 	defer hostSrv.Close()
+	probeURL := hostSrv.URL + HostPath(dst.IP())
+	round := []netsim.IPv4{dst.IP()}
 	swSrv := httptest.NewServer(NewSwitchHandler(swAgents[0]))
 	defer swSrv.Close()
 	client := NewHTTPClient(nil)
@@ -167,41 +177,45 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if !resp.Covered || !bits.Get(table.Lookup(uint32(dst.IP()))) {
 		t.Fatalf("pointer pull: covered=%v bits=%v", resp.Covered, bits.Indices())
 	}
-	// Headers query over the wire.
-	ans, err := client.QueryHeaders(context.Background(), hostSrv.URL, s1.NodeID(), simtime.EpochRange{Lo: 0, Hi: 2})
+	// Headers round over the wire.
+	hdrs, err := client.HeadersRound(context.Background(), hostSrv.URL, round,
+		[]hostagent.HeadersQuery{{Switch: s1.NodeID(), Epochs: simtime.EpochRange{Lo: 0, Hi: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := ans.Records
+	if len(hdrs) != 1 || len(hdrs[0]) != 1 {
+		t.Fatalf("headers round shape = %d hosts", len(hdrs))
+	}
+	recs := hdrs[0][0].Records
 	if len(recs) != 1 || recs[0].Flow != flow || recs[0].Priority != 2 {
 		t.Fatalf("headers = %+v", recs)
 	}
 	if len(recs[0].EpochBytes) == 0 {
 		t.Fatalf("EpochBytes lost in JSON round trip")
 	}
-	// Top-k over the wire.
-	top, err := client.QueryTopK(context.Background(), hostSrv.URL, s1.NodeID(), 10)
+	// Top-k round over the wire.
+	tops, err := client.TopKRound(context.Background(), hostSrv.URL, round, s1.NodeID(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top) != 1 || top[0].Flow != flow || top[0].Bytes == 0 {
+	if top := tops[0]; len(top) != 1 || top[0].Flow != flow || top[0].Bytes == 0 {
 		t.Fatalf("topk = %+v", top)
 	}
-	// Flow sizes over the wire.
-	sizes, err := client.QueryFlowSizes(context.Background(), hostSrv.URL, s1.NodeID())
+	// Flow-sizes round over the wire.
+	sizes, err := client.FlowSizesRound(context.Background(), hostSrv.URL, round, s1.NodeID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sizes) != 1 || sizes[0].Link == 0 {
+	if len(sizes[0]) != 1 || sizes[0][0].Link == 0 {
 		t.Fatalf("flowsizes = %+v", sizes)
 	}
 	// Priority over the wire.
-	prio, known, err := client.QueryPriority(context.Background(), hostSrv.URL, flow)
+	prio, known, err := client.QueryPriority(context.Background(), probeURL, flow)
 	if err != nil || !known || prio != 2 {
 		t.Fatalf("priority = %d %v %v", prio, known, err)
 	}
 	// Unknown flow.
-	_, known, err = client.QueryPriority(context.Background(), hostSrv.URL, netsim.FlowKey{Src: 1})
+	_, known, err = client.QueryPriority(context.Background(), probeURL, netsim.FlowKey{Src: 1})
 	if err != nil || known {
 		t.Fatalf("unknown flow: %v %v", known, err)
 	}
@@ -236,12 +250,13 @@ func TestHTTPBadRequests(t *testing.T) {
 	tp := topo.Star(net, 2, topo.Config{})
 	dec := &header.Decoder{Topo: tp, Mode: header.ModeCommodity,
 		Params: header.Params{Alpha: 10 * simtime.Millisecond}}
-	ag := hostagent.New(net, tp.Hosts()[0], dec, hostagent.Config{})
-	srv := httptest.NewServer(NewHostHandler(ag))
+	h := tp.Hosts()[0]
+	ag := hostagent.New(net, h, dec, hostagent.Config{})
+	srv := httptest.NewServer(NewHostRoundHandler(map[netsim.IPv4]*hostagent.Agent{h.IP(): ag}, nil))
 	defer srv.Close()
 
 	// GET not allowed.
-	resp, err := srv.Client().Get(srv.URL + "/headers")
+	resp, err := srv.Client().Get(srv.URL + RoundsPath + "headers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +265,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Fatalf("GET status = %d", resp.StatusCode)
 	}
 	// Garbage body.
-	resp, err = srv.Client().Post(srv.URL+"/topk", "application/json", nil)
+	resp, err = srv.Client().Post(srv.URL+RoundsPath+"topk", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +273,85 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Fatalf("garbage status = %d", resp.StatusCode)
 	}
+	// An oversize body is refused outright, not truncated into bad JSON.
+	resp, err = srv.Client().Post(srv.URL+RoundsPath+"topk", "application/json",
+		bytes.NewReader(bytes.Repeat([]byte(" "), maxRequestBody+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize status = %d, want 413", resp.StatusCode)
+	}
 	// Client-side error surfaces.
 	client := NewHTTPClient(srv.Client())
-	if _, err := client.QueryTopK(context.Background(), srv.URL+"/nope", 1, 1); err == nil {
+	if _, err := client.TopKRound(context.Background(), srv.URL+"/nope", []netsim.IPv4{h.IP()}, 1, 1); err == nil {
 		t.Fatalf("404 should error")
+	}
+	// A daemon answering the wrong number of hosts fails the round.
+	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"answers":[]}`)) //nolint:errcheck
+	}))
+	defer short.Close()
+	if _, err := client.TopKRound(context.Background(), short.URL, []netsim.IPv4{h.IP()}, 1, 1); err == nil {
+		t.Fatalf("short answer list should error")
+	}
+}
+
+// TestHostRoundSpans: a traced round records, per served host, exactly the
+// child span a per-host request would: ID <parent>.host:<ip>:<name>, the
+// round's span name, its attributes, virtual-instant at the send time. An
+// unserved host records nothing.
+func TestHostRoundSpans(t *testing.T) {
+	net := netsim.New()
+	tp := topo.Star(net, 3, topo.Config{})
+	dec := &header.Decoder{Topo: tp, Mode: header.ModeCommodity,
+		Params: header.Params{Alpha: 10 * simtime.Millisecond}}
+	agents := map[netsim.IPv4]*hostagent.Agent{}
+	var served []netsim.IPv4
+	for _, h := range tp.Hosts()[:2] {
+		agents[h.IP()] = hostagent.New(net, h, dec, hostagent.Config{})
+		served = append(served, h.IP())
+	}
+	fr := trace.NewFlightRecorder("host", 0)
+	srv := httptest.NewServer(NewHostRoundHandler(agents, fr))
+	defer srv.Close()
+	client := NewHTTPClient(srv.Client())
+
+	rc := trace.RemoteContext{TraceID: "sp-test", Parent: "sp-test.p3", At: 7 * simtime.Millisecond}
+	ctx := trace.ContextWithRemote(context.Background(), rc)
+	hosts := append([]netsim.IPv4{tp.Hosts()[2].IP()}, served...)
+	if _, err := client.HeadersRound(ctx, srv.URL, hosts, []hostagent.HeadersQuery{{Switch: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.TopKRound(ctx, srv.URL, hosts, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.FlowSizesRound(ctx, srv.URL, hosts, 1); err != nil {
+		t.Fatal(err)
+	}
+	tr, ok := fr.Get("sp-test")
+	if !ok {
+		t.Fatal("no trace recorded")
+	}
+	var want []trace.Span
+	for _, ip := range served {
+		cold := []trace.Attr{{Key: "records", Value: "0"}, {Key: "cold_segments", Value: "0"}, {Key: "cold_returned", Value: "0"}}
+		flows := []trace.Attr{{Key: "flows", Value: "0"}}
+		for _, kind := range []struct {
+			name  string
+			attrs []trace.Attr
+		}{{"headers-batch", cold}, {"topk", flows}, {"flowsizes", flows}} {
+			want = append(want, trace.Span{
+				ID: rc.Parent + ".host:" + ip.String() + ":" + kind.name, Parent: rc.Parent,
+				Name: kind.name, Role: "host", Start: rc.At, End: rc.At, Attrs: kind.attrs,
+			})
+		}
+	}
+	got := trace.Trace{ID: tr.ID, Spans: tr.Spans}.Sorted().Spans
+	want = trace.Trace{ID: tr.ID, Spans: want}.Sorted().Spans
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round spans\n got %+v\nwant %+v", got, want)
 	}
 }
 

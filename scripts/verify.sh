@@ -35,6 +35,12 @@ go test ./...
 # Scoped to these packages so the full gate stays fast.
 go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace .
 
+# Short fuzz leg: every native fuzz target for 5 s (`make fuzz` runs them
+# longer). Keep the pairs in step with FUZZ_TARGETS in the Makefile.
+for t in ./internal/rpc:FuzzHostRounds ./internal/trace:FuzzParseRemote; do
+	go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "${t%%:*}"
+done
+
 mkdir -p bin
 go build -o bin/ ./cmd/...
 for d in examples/*/; do
