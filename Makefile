@@ -39,7 +39,7 @@ race:
 ## fuzz: run every native fuzz target (package:target pairs below) for
 ## FUZZTIME each; a crasher lands in the package's testdata/fuzz corpus
 FUZZTIME ?= 30s
-FUZZ_TARGETS = ./internal/rpc:FuzzHostRounds ./internal/trace:FuzzParseRemote
+FUZZ_TARGETS = ./internal/rpc:FuzzHostRounds ./internal/rpc:FuzzRoundAnswers ./internal/trace:FuzzParseRemote
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \
@@ -60,9 +60,12 @@ bench:
 ## bench-quick: the inner perf loop — Fig 8 + simulator event rate + the
 ## state-sync snapshot bootstrap + the indexed cold query + the
 ## pointer-backend ablation + the metrics scrape and deterministic alert
-## storm, one iteration, no artifact refresh
+## storm, one iteration, no artifact refresh; then the layer rungs — the
+## round codec (rpc) and cold-segment decode (store) — at 100 iterations
 bench-quick:
 	$(GO) test -run '^$$' -bench 'Fig8LoadImbalance|SimulatorEventRate|SnapshotBootstrap|ColdQueryIndexed|PointerBackends|MetricsScrape|AlertStorm|TraceOverhead' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'RoundCodec' -benchmem -benchtime 100x ./internal/rpc
+	$(GO) test -run '^$$' -bench 'DecodeSegment' -benchmem -benchtime 100x ./internal/store
 
 ## binaries: every cmd/ tool and examples/ program must compile
 binaries:

@@ -1,6 +1,6 @@
 // Command spd is the SwitchPointer daemon: one binary that runs each role
 // of a deployed cluster — host agents, switch agents, and the analyzer
-// service — over the JSON/HTTP wire binding, so a whole diagnosis runs as a
+// service — over the HTTP wire binding, so a whole diagnosis runs as a
 // distributed system (the paper's flask topology, minus flask).
 //
 // Every daemon rebuilds the named deterministic scenario and plays it to
@@ -14,8 +14,9 @@
 //	spd wait     -url http://127.0.0.1:7643/healthz -timeout 30s
 //
 // The host daemon answers query rounds for all its host agents at once at
-// /rounds/{headers,topk,flowsizes} (rpc.NewHostRoundHandler) and serves
-// each agent's single-host probes under /hosts/<ip>/ (rpc.NewHostHandler);
+// /rounds/{headers,topk,flowsizes} (rpc.NewHostRoundHandler; binary
+// request and response bodies, the rpc round codec) and serves each
+// agent's single-host JSON probes under /hosts/<ip>/ (rpc.NewHostHandler);
 // the switch daemon serves every switch agent under /switches/<id>/. The analyzer daemon reaches both only over
 // HTTP (analyzer.RemoteDirectory + analyzer.RemoteHosts) and exposes the
 // service plane: POST /diagnose (a cluster.QueryEnvelope, answered with the

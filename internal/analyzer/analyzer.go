@@ -41,7 +41,7 @@ type Analyzer struct {
 	// in-process Hosts map — the host-side twin of the Directory seam. Nil
 	// selects MemoryHosts over Hosts (the default, byte-identical to the
 	// pre-seam direct agent calls); RemoteHosts runs the same rounds over
-	// the JSON/HTTP binding, one request per host daemon per round, so a
+	// the HTTP binding, one request per host daemon per round, so a
 	// whole diagnosis travels the wire.
 	HostBack HostBackend
 

@@ -15,9 +15,9 @@ import (
 // what the Directory interface does for switch pointer state. The in-memory
 // implementation (MemoryHosts, the default) reaches hostagent.Agent
 // executors directly; the HTTP implementation (RemoteHosts) reaches the
-// same executors over their JSON/HTTP binding — one request per host
-// daemon per round (rpc.NewHostRoundHandler), one per probe
-// (rpc.NewHostHandler) — so a whole diagnosis can run over the wire.
+// same executors over their HTTP binding — one binary-bodied request per
+// host daemon per round (rpc.NewHostRoundHandler), one JSON request per
+// probe (rpc.NewHostHandler) — so a whole diagnosis can run over the wire.
 //
 // # Round contract
 //

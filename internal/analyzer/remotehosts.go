@@ -10,12 +10,12 @@ import (
 )
 
 // RemoteHosts is the HostBackend for a real deployment: every per-host
-// query round of the diagnosis procedures travels the JSON/HTTP binding to
-// the host daemons' round endpoints (rpc.NewHostRoundHandler) — the
-// host-side twin of RemoteDirectory. A round costs one request per daemon,
-// not per host: the hosts are grouped by the daemon that serves them, each
-// daemon answers all of its hosts in one response, and the daemons are
-// asked in parallel. With both installed on an Analyzer, a whole diagnosis
+// query round of the diagnosis procedures travels the HTTP binding, in the
+// binary round codec, to the host daemons' round endpoints
+// (rpc.NewHostRoundHandler) — the host-side twin of RemoteDirectory. A
+// round costs one request per daemon, not per host: the hosts are grouped
+// by the daemon that serves them, each daemon answers all of its hosts in
+// one response, and the daemons are asked in parallel. With both installed on an Analyzer, a whole diagnosis
 // (pointer pulls, MPH distribution, and all per-host rounds) runs over the
 // wire, and the Report is byte-identical to the in-memory run: the round
 // walks the host list in order with one ctx check per host (the rpc.FanOut
@@ -125,7 +125,7 @@ func remoteRound[T any](ctx context.Context, r *RemoteHosts, workers int, hosts 
 // HeadersRound implements HostBackend over HTTP: one POST /rounds/headers
 // per daemon carrying every query of the round (matching the one-round
 // virtual-time charge), answers per host in query order. The hosts' cold
-// read-back accounting rides the wire form, so a remote diagnosis charges
+// read-back accounting rides the round codec, so a remote diagnosis charges
 // the extra round exactly like the in-memory one.
 func (r *RemoteHosts) HeadersRound(ctx context.Context, workers int, hosts []netsim.IPv4, queries []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, int, error) {
 	return remoteRound(ctx, r, workers, hosts, func(ctx context.Context, root string, hosts []netsim.IPv4) ([][]hostagent.HeadersAnswer, error) {

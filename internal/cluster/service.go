@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"switchpointer/internal/metrics"
+	"switchpointer/internal/rpc"
 	"switchpointer/internal/statesync"
 	"switchpointer/internal/trace"
 )
@@ -52,13 +53,8 @@ func NewAnalyzerHandler(ad *Admission) http.Handler {
 func NewAnalyzerHandlerWith(ad *Admission, reg *metrics.Registry, fr *trace.FlightRecorder) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/diagnose", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		body, ok := rpc.ReadBody(w, r, maxEnvelopeBody)
+		if !ok {
 			return
 		}
 		var env QueryEnvelope
@@ -108,6 +104,13 @@ func NewAnalyzerHandlerWith(ad *Admission, reg *metrics.Registry, fr *trace.Flig
 	return mux
 }
 
+// maxEnvelopeBody bounds a /diagnose request; a larger one is refused
+// with 413. maxReportBody bounds the report a Client reads back.
+const (
+	maxEnvelopeBody = 1 << 20
+	maxReportBody   = 8 << 20
+)
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -149,9 +152,12 @@ func (c *Client) Diagnose(ctx context.Context, env QueryEnvelope) (*WireReport, 
 		return nil, fmt.Errorf("cluster: post /diagnose: %w", err)
 	}
 	defer httpResp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, 8<<20))
+	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, maxReportBody+1))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: read /diagnose: %w", err)
+	}
+	if len(raw) > maxReportBody {
+		return nil, fmt.Errorf("cluster: /diagnose response exceeds limit of %d bytes", maxReportBody)
 	}
 	if httpResp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: /diagnose status %d: %s", httpResp.StatusCode, bytes.TrimSpace(raw))

@@ -9,7 +9,7 @@ package flowrec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"switchpointer/internal/header"
 	"switchpointer/internal/netsim"
@@ -148,7 +148,7 @@ func (r *Record) SortedEpochs() []simtime.Epoch {
 	for e := range r.EpochBytes {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -337,12 +337,12 @@ func (a *Agent) raise(al Alert) {
 // HeadersQuery asks for records of flows that traversed a switch during an
 // epoch range. Flows, when non-empty, restricts the answer to those flow
 // keys — and lets the cold tier's per-segment bloom/flow-key index skip
-// segments that cannot contain any of them. The JSON form is the query's
-// wire form in a headers round (rpc.RoundRequest).
+// segments that cannot contain any of them. A headers round carries it in
+// the binary round codec (rpc.RoundRequest).
 type HeadersQuery struct {
-	Switch netsim.NodeID      `json:"switch"`
-	Epochs simtime.EpochRange `json:"epochs"`
-	Flows  []netsim.FlowKey   `json:"flows,omitempty"`
+	Switch netsim.NodeID
+	Epochs simtime.EpochRange
+	Flows  []netsim.FlowKey
 }
 
 // wantsFlow reports whether the query's flow restriction (if any) admits f.
@@ -372,15 +372,16 @@ func (q HeadersQuery) wantsFlow(f netsim.FlowKey) bool {
 // flow bounds, bloom) proved them irrelevant — skipped without decoding,
 // the "cost proportional to the answer" savings. TieredSegments counts
 // segments whose manifests matched but whose payloads were tiered out of
-// cold storage: data the answer honestly does NOT include. The JSON form
-// is the answer's wire form in a headers round (rpc.NewHostRoundHandler).
+// cold storage: data the answer honestly does NOT include. A headers round
+// carries every field in the binary round codec (rpc.NewHostRoundHandler),
+// so the cold accounting reaches a remote analyzer intact.
 type HeadersAnswer struct {
-	Records            []*flowrec.Record `json:"records"`
-	ColdSegments       int               `json:"cold_segments,omitempty"`
-	ColdRecords        int               `json:"cold_records,omitempty"`
-	ColdReturned       int               `json:"cold_returned,omitempty"`
-	ColdSkippedByIndex int               `json:"cold_skipped_by_index,omitempty"`
-	TieredSegments     int               `json:"tiered_segments,omitempty"`
+	Records            []*flowrec.Record
+	ColdSegments       int
+	ColdRecords        int
+	ColdReturned       int
+	ColdSkippedByIndex int
+	TieredSegments     int
 }
 
 // QueryHeaders returns (clones of) records matching the query: the

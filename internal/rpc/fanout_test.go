@@ -165,8 +165,13 @@ func TestHostRoundsConcurrent(t *testing.T) {
 				http.Error(w, "down", http.StatusInternalServerError)
 				return
 			}
-			var req RoundRequest
-			if !decodeJSON(w, r, &req) {
+			body, ok := ReadBody(w, r, maxRequestBody)
+			if !ok {
+				return
+			}
+			req, err := decodeRoundRequest(body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
 			// Each host answers one flow whose byte count names its
@@ -175,7 +180,7 @@ func TestHostRoundsConcurrent(t *testing.T) {
 			for _, ip := range req.Hosts {
 				resp.Answers = append(resp.Answers, []hostagent.FlowBytes{{Bytes: uint64(i)<<32 | uint64(ip)}})
 			}
-			writeJSON(w, resp)
+			w.Write(topkKind.appendResponse(nil, resp)) //nolint:errcheck
 		}))
 		defer srv.Close()
 		roots[i] = srv.URL

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -18,8 +17,8 @@ import (
 
 // FuzzHostRounds posts arbitrary bodies to the round endpoints of a small
 // traced host daemon whose one receiving host holds a record: the handler
-// never panics, answers only 200, 400, 405 or 413, and a 200 carries one
-// answer per requested host.
+// never panics, answers only 200, 400, 405 or 413, and a 200 answers a
+// body that decodes as a round request with one answer per requested host.
 func FuzzHostRounds(f *testing.F) {
 	net := netsim.New()
 	tp := topo.Chain(net, []int{1, 0, 1}, topo.Config{})
@@ -33,7 +32,7 @@ func FuzzHostRounds(f *testing.F) {
 		RateBps: 200_000_000, Duration: 5 * simtime.Millisecond})
 	net.RunUntil(10 * simtime.Millisecond)
 	h := NewHostRoundHandler(agents, trace.NewFlightRecorder("host", 4))
-	kinds := []string{"headers", "topk", "flowsizes"}
+	kinds := []string{"headers", "topk", "flowsizes"} // decodeAs kinds 0, 1, 2
 
 	sw := tp.Switches()[0].NodeID()
 	for kind := range kinds {
@@ -45,19 +44,16 @@ func FuzzHostRounds(f *testing.F) {
 				{Switch: sw, Epochs: simtime.EpochRange{Hi: 1 << 40}, Flows: []netsim.FlowKey{{Src: 1}}},
 			}},
 		} {
-			raw, err := json.Marshal(req)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(uint8(kind), raw)
+			f.Add(uint8(kind), req.appendWire(nil))
 		}
 	}
 	f.Add(uint8(1), []byte(nil))
 	f.Add(uint8(0), []byte(`{"hosts":null,"queries":[{}]}`))
-	f.Add(uint8(2), []byte(`{"hosts":[1,2],"k":-1}`))
+	f.Add(uint8(2), (&RoundRequest{Hosts: []netsim.IPv4{1, 2}, K: -1}).appendWire(nil))
 
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
-		r := httptest.NewRequest(http.MethodPost, RoundsPath+kinds[int(kind)%len(kinds)], bytes.NewReader(body))
+		k := int(kind) % len(kinds)
+		r := httptest.NewRequest(http.MethodPost, RoundsPath+kinds[k], bytes.NewReader(body))
 		r.Header.Set(trace.Header, "sp-fuzz;sp-fuzz.p1;1000")
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, r)
@@ -68,16 +64,16 @@ func FuzzHostRounds(f *testing.F) {
 		default:
 			t.Fatalf("status %d for %q", w.Code, body)
 		}
-		var req RoundRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		hosts, _, err := decodeAs(3, body)
+		if err != nil {
 			t.Fatalf("200 for a body that does not decode: %v", err)
 		}
-		var resp RoundResponse[json.RawMessage]
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		n, _, err := decodeAs(k, w.Body.Bytes())
+		if err != nil {
 			t.Fatalf("undecodable 200 response: %v", err)
 		}
-		if len(resp.Answers) != len(req.Hosts) {
-			t.Fatalf("%d answers for %d hosts", len(resp.Answers), len(req.Hosts))
+		if n != hosts {
+			t.Fatalf("%d answers for %d hosts", n, hosts)
 		}
 	})
 }

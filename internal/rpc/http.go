@@ -21,31 +21,34 @@ import (
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/switchagent"
 	"switchpointer/internal/trace"
+	"switchpointer/internal/wire"
 )
 
-// This file is the real-network binding of the agent query interfaces:
-// JSON over HTTP via net/http, replacing the paper's flask microframework.
-// Handlers must only be served while the simulation engine is idle (the
-// simulated testbed is single-threaded); in deployments the agents would own
-// their state behind these handlers directly.
+// This file is the real-network binding of the agent query interfaces over
+// HTTP via net/http, replacing the paper's flask microframework: the host
+// query rounds carry the binary round codec (roundcodec.go), every other
+// endpoint JSON. Handlers must only be served while the simulation engine
+// is idle (the simulated testbed is single-threaded); in deployments the
+// agents would own their state behind these handlers directly.
 
 // RoundRequest is one daemon-level query round (POST
-// /rounds/{headers,topk,flowsizes} on a host daemon): the hosts to ask, in
-// order, plus the round's arguments — Queries for headers, Switch and K for
-// topk, Switch for flowsizes. One request reaches every host the daemon
-// serves, so a round costs one HTTP round trip per daemon, not per host.
+// /rounds/{headers,topk,flowsizes} on a host daemon, as a binary round
+// body): the hosts to ask, in order, plus the round's arguments — Queries
+// for headers, Switch and K for topk, Switch for flowsizes. One request
+// reaches every host the daemon serves, so a round costs one HTTP round
+// trip per daemon, not per host.
 type RoundRequest struct {
-	Hosts   []netsim.IPv4            `json:"hosts"`
-	Switch  netsim.NodeID            `json:"switch,omitempty"`
-	K       int                      `json:"k,omitempty"`
-	Queries []hostagent.HeadersQuery `json:"queries,omitempty"`
+	Hosts   []netsim.IPv4
+	Switch  netsim.NodeID
+	K       int
+	Queries []hostagent.HeadersQuery
 }
 
-// RoundResponse answers a RoundRequest: Answers[i] is Hosts[i]'s reply —
-// for headers one hostagent.HeadersAnswer per query in order — and null
-// for a host the daemon does not serve.
+// RoundResponse answers a RoundRequest, as a binary round body: Answers[i]
+// is Hosts[i]'s reply — for headers one hostagent.HeadersAnswer per query
+// in order — and nil for a host the daemon does not serve.
 type RoundResponse[T any] struct {
-	Answers []T `json:"answers"`
+	Answers []T
 }
 
 // PriorityRequest asks a host for a flow's recorded DSCP priority.
@@ -193,23 +196,78 @@ const RoundsPath = "/rounds/"
 // (NewTracedHostHandler's /priority and /record, and the state-sync plane).
 func HostPath(ip netsim.IPv4) string { return "/hosts/" + ip.String() }
 
-// roundKind is one round endpoint: ask answers one host from the decoded
-// request, span names the host's child span, and attrs derives that span's
-// attributes from the host's answer.
+// roundKind is one round endpoint, the single seam both sides of a round
+// go through: name is its path under RoundsPath, ask answers one host from
+// the decoded request, span names the host's child span, attrs derives
+// that span's attributes from the host's answer, and appendAnswer /
+// readAnswer are the answer's binary codec.
 type roundKind[T any] struct {
-	span  string
-	ask   func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) T
-	attrs func(T) []trace.Attr
+	name         string
+	span         string
+	ask          func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) T
+	attrs        func(T) []trace.Attr
+	appendAnswer func([]byte, T) []byte
+	readAnswer   func(*wire.Reader) T
 }
 
+var (
+	headersKind = roundKind[[]hostagent.HeadersAnswer]{
+		name: "headers",
+		span: "headers-batch",
+		ask: func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) []hostagent.HeadersAnswer {
+			return ag.QueryHeadersMulti(ctx, req.Queries)
+		},
+		attrs: func(answers []hostagent.HeadersAnswer) []trace.Attr {
+			records, coldSegments, coldReturned := 0, 0, 0
+			for _, ans := range answers {
+				records += len(ans.Records)
+				coldSegments += ans.ColdSegments
+				coldReturned += ans.ColdReturned
+			}
+			return []trace.Attr{
+				{Key: "records", Value: strconv.Itoa(records)},
+				{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
+				{Key: "cold_returned", Value: strconv.Itoa(coldReturned)},
+			}
+		},
+		appendAnswer: appendHeadersAnswers,
+		readAnswer:   readHeadersAnswers,
+	}
+	topkKind = roundKind[[]hostagent.FlowBytes]{
+		name: "topk",
+		span: "topk",
+		ask: func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) []hostagent.FlowBytes {
+			return ag.QueryTopK(ctx, req.Switch, req.K)
+		},
+		attrs:        flowsAttrs[hostagent.FlowBytes],
+		appendAnswer: appendFlowBytes,
+		readAnswer:   readFlowBytes,
+	}
+	flowSizesKind = roundKind[[]hostagent.FlowSize]{
+		name: "flowsizes",
+		span: "flowsizes",
+		ask: func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) []hostagent.FlowSize {
+			return ag.QueryFlowSizes(ctx, req.Switch)
+		},
+		attrs:        flowsAttrs[hostagent.FlowSize],
+		appendAnswer: appendFlowSizes,
+		readAnswer:   readFlowSizes,
+	}
+)
+
 // serve answers one round: every host the daemon serves, in request order,
-// and null for the rest. A traced request's context is parsed once and
+// and nil for the rest. A traced request's context is parsed once and
 // yields one child span per answered host, labelled by the host's IP, so a
 // trace is the same however the analyzer batches hosts into requests.
 func (k roundKind[T]) serve(agents map[netsim.IPv4]*hostagent.Agent, fr *trace.FlightRecorder) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req RoundRequest
-		if !decodeJSON(w, r, &req) {
+		body, ok := ReadBody(w, r, maxRequestBody)
+		if !ok {
+			return
+		}
+		req, err := decodeRoundRequest(body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		rc, traced := remoteContext(fr, r)
@@ -228,7 +286,10 @@ func (k roundKind[T]) serve(agents map[netsim.IPv4]*hostagent.Agent, fr *trace.F
 		if traced {
 			fr.Record(rc.TraceID, spans...)
 		}
-		writeJSON(w, resp)
+		out := k.appendResponse(make([]byte, 0, 512), resp)
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+		w.Write(out) //nolint:errcheck // the client sees a short body
 	}
 }
 
@@ -239,43 +300,14 @@ func flowsAttrs[T any](flows []T) []trace.Attr {
 
 // NewHostRoundHandler serves a host daemon's round endpoints over the given
 // agents (keyed by host IP): POST RoundsPath+{headers,topk,flowsizes}, each
-// a RoundRequest answered with a RoundResponse. Traced requests record
-// per-host child spans into fr (nil disables them).
+// a binary RoundRequest answered with a binary RoundResponse (the round
+// codec, roundcodec.go). Traced requests record per-host child spans into
+// fr (nil disables them).
 func NewHostRoundHandler(agents map[netsim.IPv4]*hostagent.Agent, fr *trace.FlightRecorder) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(RoundsPath+"headers", roundKind[[]hostagent.HeadersAnswer]{
-		span: "headers-batch",
-		ask: func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) []hostagent.HeadersAnswer {
-			return ag.QueryHeadersMulti(ctx, req.Queries)
-		},
-		attrs: func(answers []hostagent.HeadersAnswer) []trace.Attr {
-			records, coldSegments, coldReturned := 0, 0, 0
-			for _, ans := range answers {
-				records += len(ans.Records)
-				coldSegments += ans.ColdSegments
-				coldReturned += ans.ColdReturned
-			}
-			return []trace.Attr{
-				{Key: "records", Value: strconv.Itoa(records)},
-				{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
-				{Key: "cold_returned", Value: strconv.Itoa(coldReturned)},
-			}
-		},
-	}.serve(agents, fr))
-	mux.HandleFunc(RoundsPath+"topk", roundKind[[]hostagent.FlowBytes]{
-		span: "topk",
-		ask: func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) []hostagent.FlowBytes {
-			return ag.QueryTopK(ctx, req.Switch, req.K)
-		},
-		attrs: flowsAttrs[hostagent.FlowBytes],
-	}.serve(agents, fr))
-	mux.HandleFunc(RoundsPath+"flowsizes", roundKind[[]hostagent.FlowSize]{
-		span: "flowsizes",
-		ask: func(ctx context.Context, ag *hostagent.Agent, req *RoundRequest) []hostagent.FlowSize {
-			return ag.QueryFlowSizes(ctx, req.Switch)
-		},
-		attrs: flowsAttrs[hostagent.FlowSize],
-	}.serve(agents, fr))
+	mux.HandleFunc(RoundsPath+headersKind.name, headersKind.serve(agents, fr))
+	mux.HandleFunc(RoundsPath+topkKind.name, topkKind.serve(agents, fr))
+	mux.HandleFunc(RoundsPath+flowSizesKind.name, flowSizesKind.serve(agents, fr))
 	return mux
 }
 
@@ -413,19 +445,31 @@ func NewTracedSwitchHandler(a *switchagent.Agent, label string, fr *trace.Flight
 // maxRequestBody bounds a request body; a larger one is refused with 413.
 const maxRequestBody = 1 << 20
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// ReadBody reads a POST body of at most limit bytes. It answers 405 to
+// another method, 413 to a larger body (refused, never truncated; a
+// declared length over the limit is refused unread) and 400 to a failed
+// read, and then reports false.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return false
+		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := readLimited(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		if errors.Is(err, errTooLarge) || errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		http.Error(w, err.Error(), status)
+		return nil, false
+	}
+	return body, true
+}
+
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := ReadBody(w, r, maxRequestBody)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
@@ -501,7 +545,14 @@ func NewPooledHTTPClient() *HTTPClient {
 // CloseIdleConnections drops pooled keep-alive connections.
 func (c *HTTPClient) CloseIdleConnections() { c.HTTP.CloseIdleConnections() }
 
-func (c *HTTPClient) post(ctx context.Context, url string, req, resp any) error {
+// maxResponseBody bounds every response body the client reads; a larger
+// one fails with an error naming the URL instead of being cut short.
+const maxResponseBody = 64 << 20
+
+// do sends one request (body nil for none) under the per-host timeout,
+// carrying the caller's trace context, and returns the response body of a
+// 200 answer.
+func (c *HTTPClient) do(ctx context.Context, method, url, contentType string, body []byte) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -510,71 +561,84 @@ func (c *HTTPClient) post(ctx context.Context, url string, req, resp any) error 
 		ctx, cancel = context.WithTimeout(ctx, c.PerHostTimeout)
 		defer cancel()
 	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	httpReq, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: request %s: %w", url, err)
+	}
+	if contentType != "" {
+		httpReq.Header.Set("Content-Type", contentType)
+	}
+	if rc, ok := trace.RemoteFromContext(ctx); ok {
+		httpReq.Header.Set(trace.Header, rc.Encode())
+	}
+	httpResp, err := c.HTTP.Do(httpReq)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: %s %s: %w", method, url, err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
+		return nil, fmt.Errorf("rpc: %s: status %d: %s", url, httpResp.StatusCode, msg)
+	}
+	// Reading to EOF also hands the connection back to the idle pool, so
+	// fan-out rounds do not re-pay connection setup.
+	raw, err := readLimited(httpResp.Body, httpResp.ContentLength, maxResponseBody)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: read %s: %w", url, err)
+	}
+	return raw, nil
+}
+
+// errTooLarge marks a body over its read limit.
+var errTooLarge = errors.New("body exceeds limit")
+
+// readLimited reads r to EOF, refusing more than limit bytes. size is the
+// declared length (-1 when unknown): a declared length over the limit is
+// refused unread, and a known one sizes the buffer once.
+func readLimited(r io.Reader, size, limit int64) ([]byte, error) {
+	if size > limit {
+		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errTooLarge, size, limit)
+	}
+	var buf bytes.Buffer
+	if size > 0 {
+		buf.Grow(int(size) + bytes.MinRead)
+	}
+	n, err := buf.ReadFrom(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if n > limit {
+		return nil, fmt.Errorf("%w of %d bytes", errTooLarge, limit)
+	}
+	return buf.Bytes(), nil
+}
+
+// post sends req as JSON and decodes the JSON answer into resp (nil to
+// discard it).
+func (c *HTTPClient) post(ctx context.Context, url string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("rpc: marshal: %w", err)
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("rpc: request %s: %w", url, err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if rc, ok := trace.RemoteFromContext(ctx); ok {
-		httpReq.Header.Set(trace.Header, rc.Encode())
-	}
-	httpResp, err := c.HTTP.Do(httpReq)
-	if err != nil {
-		return fmt.Errorf("rpc: post %s: %w", url, err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
-		return fmt.Errorf("rpc: %s: status %d: %s", url, httpResp.StatusCode, msg)
-	}
-	if resp == nil {
-		io.Copy(io.Discard, io.LimitReader(httpResp.Body, 1<<20)) //nolint:errcheck
-		return nil
-	}
-	if err := json.NewDecoder(httpResp.Body).Decode(resp); err != nil {
+	raw, err := c.do(ctx, http.MethodPost, url, "application/json", body)
+	if err != nil || resp == nil {
 		return err
 	}
-	// Drain to EOF so the transport sees the response end and returns the
-	// connection to the idle pool — otherwise every chunked response kills
-	// its keep-alive connection and fan-out rounds re-pay connection setup.
-	io.Copy(io.Discard, io.LimitReader(httpResp.Body, 1<<20)) //nolint:errcheck
+	if err := json.Unmarshal(raw, resp); err != nil {
+		return fmt.Errorf("rpc: decode %s: %w", url, err)
+	}
 	return nil
 }
 
-// get issues a GET and decodes the JSON answer, under the same per-host
-// timeout discipline as post.
+// get issues a GET and decodes the JSON answer.
 func (c *HTTPClient) get(ctx context.Context, url string, resp any) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if c.PerHostTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.PerHostTimeout)
-		defer cancel()
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	raw, err := c.do(ctx, http.MethodGet, url, "", nil)
 	if err != nil {
-		return fmt.Errorf("rpc: request %s: %w", url, err)
-	}
-	if rc, ok := trace.RemoteFromContext(ctx); ok {
-		httpReq.Header.Set(trace.Header, rc.Encode())
-	}
-	httpResp, err := c.HTTP.Do(httpReq)
-	if err != nil {
-		return fmt.Errorf("rpc: get %s: %w", url, err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
-		return fmt.Errorf("rpc: %s: status %d: %s", url, httpResp.StatusCode, msg)
-	}
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
-	if err != nil {
-		return fmt.Errorf("rpc: read %s: %w", url, err)
+		return err
 	}
 	if err := json.Unmarshal(raw, resp); err != nil {
 		return fmt.Errorf("rpc: decode %s: %w", url, err)
@@ -592,15 +656,20 @@ func (c *HTTPClient) SwitchSnapshot(ctx context.Context, baseURL string) (Switch
 
 // round POSTs one daemon-level round to the host daemon at root and checks
 // the daemon answered every host.
-func round[T any](ctx context.Context, c *HTTPClient, root, kind string, req RoundRequest) ([]T, error) {
-	var out RoundResponse[T]
-	if err := c.post(ctx, root+RoundsPath+kind, req, &out); err != nil {
+func round[T any](ctx context.Context, c *HTTPClient, root string, k roundKind[T], req RoundRequest) ([]T, error) {
+	url := root + RoundsPath + k.name
+	raw, err := c.do(ctx, http.MethodPost, url, "application/octet-stream", req.appendWire(nil))
+	if err != nil {
 		return nil, err
 	}
-	if len(out.Answers) != len(req.Hosts) {
-		return nil, fmt.Errorf("rpc: %s round answered %d of %d hosts", kind, len(out.Answers), len(req.Hosts))
+	resp, err := k.decodeResponse(raw)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: decode %s: %w", url, err)
 	}
-	return out.Answers, nil
+	if len(resp.Answers) != len(req.Hosts) {
+		return nil, fmt.Errorf("rpc: %s round answered %d of %d hosts", k.name, len(resp.Answers), len(req.Hosts))
+	}
+	return resp.Answers, nil
 }
 
 // HeadersRound asks every host in hosts, all served by the daemon at root,
@@ -608,21 +677,21 @@ func round[T any](ctx context.Context, c *HTTPClient, root, kind string, req Rou
 // is hosts[i]'s answer to qs[q], and answers[i] is nil for a host the
 // daemon does not serve.
 func (c *HTTPClient) HeadersRound(ctx context.Context, root string, hosts []netsim.IPv4, qs []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, error) {
-	return round[[]hostagent.HeadersAnswer](ctx, c, root, "headers", RoundRequest{Hosts: hosts, Queries: qs})
+	return round(ctx, c, root, headersKind, RoundRequest{Hosts: hosts, Queries: qs})
 }
 
 // TopKRound asks every host in hosts, all served by the daemon at root, for
 // its top-k flows through switch sw (POST /rounds/topk); answers[i] is nil
 // for a host the daemon does not serve.
 func (c *HTTPClient) TopKRound(ctx context.Context, root string, hosts []netsim.IPv4, sw netsim.NodeID, k int) ([][]hostagent.FlowBytes, error) {
-	return round[[]hostagent.FlowBytes](ctx, c, root, "topk", RoundRequest{Hosts: hosts, Switch: sw, K: k})
+	return round(ctx, c, root, topkKind, RoundRequest{Hosts: hosts, Switch: sw, K: k})
 }
 
 // FlowSizesRound asks every host in hosts, all served by the daemon at root,
 // for flow sizes + egress links at switch sw (POST /rounds/flowsizes);
 // answers[i] is nil for a host the daemon does not serve.
 func (c *HTTPClient) FlowSizesRound(ctx context.Context, root string, hosts []netsim.IPv4, sw netsim.NodeID) ([][]hostagent.FlowSize, error) {
-	return round[[]hostagent.FlowSize](ctx, c, root, "flowsizes", RoundRequest{Hosts: hosts, Switch: sw})
+	return round(ctx, c, root, flowSizesKind, RoundRequest{Hosts: hosts, Switch: sw})
 }
 
 // QueryPriority fetches a flow's priority from a host.

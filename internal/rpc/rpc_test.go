@@ -3,9 +3,12 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -191,7 +194,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("headers = %+v", recs)
 	}
 	if len(recs[0].EpochBytes) == 0 {
-		t.Fatalf("EpochBytes lost in JSON round trip")
+		t.Fatalf("EpochBytes lost in the round codec")
 	}
 	// Top-k round over the wire.
 	tops, err := client.TopKRound(context.Background(), hostSrv.URL, round, s1.NodeID(), 10)
@@ -264,14 +267,18 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp.StatusCode != 405 {
 		t.Fatalf("GET status = %d", resp.StatusCode)
 	}
-	// Garbage body.
-	resp, err = srv.Client().Post(srv.URL+RoundsPath+"topk", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("garbage status = %d", resp.StatusCode)
+	// Garbage bodies: empty, the retired JSON form, a valid request with
+	// a trailing byte.
+	valid := (&RoundRequest{Hosts: []netsim.IPv4{h.IP()}, K: 1}).appendWire(nil)
+	for _, body := range [][]byte{nil, []byte(`{"hosts":[1],"k":1}`), append(valid, 0)} {
+		resp, err = srv.Client().Post(srv.URL+RoundsPath+"topk", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Fatalf("garbage %q status = %d", body, resp.StatusCode)
+		}
 	}
 	// An oversize body is refused outright, not truncated into bad JSON.
 	resp, err = srv.Client().Post(srv.URL+RoundsPath+"topk", "application/json",
@@ -290,7 +297,7 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 	// A daemon answering the wrong number of hosts fails the round.
 	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"answers":[]}`)) //nolint:errcheck
+		w.Write(topkKind.appendResponse(nil, RoundResponse[[]hostagent.FlowBytes]{Answers: [][]hostagent.FlowBytes{}})) //nolint:errcheck
 	}))
 	defer short.Close()
 	if _, err := client.TopKRound(context.Background(), short.URL, []netsim.IPv4{h.IP()}, 1, 1); err == nil {
@@ -363,5 +370,31 @@ func TestPointersResponseDecodeErrors(t *testing.T) {
 	bad = PointersResponse{HostsB64: "AAAA"}
 	if _, err := bad.Decode(); err == nil {
 		t.Fatalf("truncated bitmap accepted")
+	}
+}
+
+// TestResponseLimit: every response the client reads is capped. A
+// declared length over the cap is refused unread, a stream running past
+// it is refused once it does, and both errors name the URL; nothing is
+// silently truncated.
+func TestResponseLimit(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(maxResponseBody+1))
+	}))
+	defer srv.Close()
+	client := NewHTTPClient(srv.Client())
+	_, err := client.TopKRound(context.Background(), srv.URL, []netsim.IPv4{1}, 1, 1)
+	if !errors.Is(err, errTooLarge) || !strings.Contains(err.Error(), srv.URL) {
+		t.Fatalf("oversize round response: %v", err)
+	}
+	if _, err := client.SwitchSnapshot(context.Background(), srv.URL); !errors.Is(err, errTooLarge) {
+		t.Fatalf("oversize snapshot response: %v", err)
+	}
+
+	if _, err := readLimited(strings.NewReader("abcdef"), -1, 5); !errors.Is(err, errTooLarge) {
+		t.Fatalf("undeclared stream past the limit: %v", err)
+	}
+	if got, err := readLimited(strings.NewReader("abcdef"), -1, 6); err != nil || string(got) != "abcdef" {
+		t.Fatalf("stream at the limit = %q, %v", got, err)
 	}
 }

@@ -10,11 +10,12 @@ import (
 
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
+	"switchpointer/internal/rpc"
 	"switchpointer/internal/store"
 )
 
 // IngestBatch is the live-feed wire form: a batch of full wire-form flow
-// records (the same JSON schema the query endpoints ship) emitted by the
+// records (the JSON form /record answers with) emitted by the
 // simulator or by another daemon. Each record wholesale-replaces the
 // receiver's record for its flow under store.Put's recency guard
 // (LastSeen, then Pkts): re-sending a record is idempotent, the freshest
@@ -24,6 +25,9 @@ import (
 type IngestBatch struct {
 	Records []*flowrec.Record `json:"records"`
 }
+
+// maxIngestBody bounds one ingest batch; a larger one is refused with 413.
+const maxIngestBody = 64 << 20
 
 // IngestResponse acknowledges one ingest batch.
 type IngestResponse struct {
@@ -37,13 +41,8 @@ type IngestResponse struct {
 // snapshot. rd, when non-nil, accumulates ingest accounting for /healthz.
 func IngestHandler(ag *hostagent.Agent, rd *Readiness) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		body, ok := rpc.ReadBody(w, r, maxIngestBody)
+		if !ok {
 			return
 		}
 		var batch IngestBatch

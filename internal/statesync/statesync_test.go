@@ -3,6 +3,7 @@ package statesync
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -279,6 +280,34 @@ func TestIngestFeed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /ingest answered %d, want 405", resp.StatusCode)
 	}
+}
+
+// TestIngestRefusesOversizeBody: a batch over the ingest limit is refused
+// with 413, unread, instead of being truncated into a JSON syntax error.
+func TestIngestRefusesOversizeBody(t *testing.T) {
+	s, err := scenario.NewRedLights(scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag := s.Testbed.HostAgents[richestAgentIP(s.Testbed)]
+	r := httptest.NewRequest(http.MethodPost, "/ingest", io.LimitReader(zeros{}, maxIngestBody+1))
+	r.ContentLength = maxIngestBody + 1
+	w := httptest.NewRecorder()
+	IngestHandler(ag, nil).ServeHTTP(w, r)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize ingest status = %d, want 413", w.Code)
+	}
+	if ag.Store.Len() != 0 {
+		t.Fatalf("refused batch stored %d records", ag.Store.Len())
+	}
+}
+
+// zeros is an endless source of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 // TestColdReadBackHostQuery evicts a live store wholesale into a SegmentLog

@@ -37,7 +37,7 @@ go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal
 
 # Short fuzz leg: every native fuzz target for 5 s (`make fuzz` runs them
 # longer). Keep the pairs in step with FUZZ_TARGETS in the Makefile.
-for t in ./internal/rpc:FuzzHostRounds ./internal/trace:FuzzParseRemote; do
+for t in ./internal/rpc:FuzzHostRounds ./internal/rpc:FuzzRoundAnswers ./internal/trace:FuzzParseRemote; do
 	go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "${t%%:*}"
 done
 
